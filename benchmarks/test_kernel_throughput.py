@@ -1,11 +1,11 @@
-"""Kernel and simulator throughput benchmarks.
+"""Simulator throughput benchmarks.
 
 Not paper results — these measure the substrate itself: raw event
-throughput of both simulator kernels and end-to-end simulated
-requests per wall-second of the full four-tier system.  They guard
-against performance regressions that would make the figure sweeps
-impractically slow, and they hold the vector kernel to its headline
-claim: >= 10x the scalar kernel's event rate on timer traffic.
+throughput of the simulator engine and end-to-end simulated requests
+per wall-second of the full four-tier system.  They guard against
+performance regressions that would make the figure sweeps
+impractically slow.  Whole-pipeline numbers (simulate, transform,
+diagnose, live refresh) come from ``python3 e2ebench/run.py``.
 
 The full-system check pins the *exact* trace count at its seed: the
 simulation is deterministic, so any drift is a behavior change (an
@@ -13,13 +13,10 @@ RNG stream reordered, a tie broken differently), never noise.  A
 floor like ``completed > 300`` would keep passing through exactly the
 bugs determinism is supposed to catch.
 
-``MSCOPE_SCALE_USERS`` scales the open-loop sweep tier: 150 locally
-(default), 10000 in the CI kernel-bench job, 100000 in the nightly
-smoke.  Measured numbers land in the shared bench-record artifact
+Measured numbers land in the shared bench-record artifact
 (``MSCOPE_BENCH_JSON``, schema ``mscope-bench-record/v1``).
 """
 
-import os
 import time
 
 from record import record
@@ -27,17 +24,10 @@ from record import record
 from repro.common.timebase import ms, seconds
 from repro.ntier import NTierSystem, SystemConfig
 from repro.rubbos import WorkloadSpec
-from repro.sim import Engine, TrafficGenerator
-
-#: Open-loop sweep population (CI smoke: 10k, nightly: 100k).
-SCALE_USERS = int(os.environ.get("MSCOPE_SCALE_USERS", "150"))
-
-#: The vector kernel's contract: at least this many times the scalar
-#: kernel's event rate, measured on the same machine in one process.
-VECTOR_FLOOR = 10.0
+from repro.sim import Engine
 
 #: Exact end-to-end trace count at seed 3, 150 users, 2 s — pinned
-#: from a reference run; both kernels must reproduce it.
+#: from a reference run.
 PINNED_TRACES = 390
 
 _PING_ROUNDS = 50_000
@@ -73,7 +63,7 @@ def _scalar_rate(repeats=3):
 
 
 def test_kernel_event_throughput(benchmark):
-    """Scalar engine: a ping-pong of timeouts (two events per round)."""
+    """Engine: a ping-pong of timeouts (two events per round)."""
 
     def run_kernel():
         engine = _pingpong_engine()
@@ -118,13 +108,12 @@ def test_run_loop_not_slower_than_step_loop():
     )
 
 
-def _full_system(kernel: str):
+def _full_system():
     config = SystemConfig(
         workload=WorkloadSpec(
             users=150, think_time_us=ms(700), ramp_up_us=ms(200)
         ),
         seed=3,
-        kernel=kernel,
     )
     return NTierSystem(config).run(seconds(2))
 
@@ -132,140 +121,7 @@ def _full_system(kernel: str):
 def test_full_system_simulation_rate(benchmark):
     """Whole testbed: simulated requests per benchmark round."""
     completed = benchmark.pedantic(
-        lambda: len(_full_system("scalar").traces), rounds=3, iterations=1
+        lambda: len(_full_system().traces), rounds=3, iterations=1
     )
     assert completed == PINNED_TRACES
     record("full_system_scalar", traces=completed, seed=3, users=150)
-
-
-def test_full_system_kernels_agree(benchmark):
-    """The vector kernel reproduces the pinned trace count exactly."""
-    completed = benchmark.pedantic(
-        lambda: len(_full_system("vector").traces), rounds=3, iterations=1
-    )
-    assert completed == PINNED_TRACES
-    record("full_system_vector", traces=completed, seed=3, users=150)
-
-
-_SWEEP_USERS = 5_000
-_SWEEP_THINK = ms(700)
-_SWEEP_RAMP = ms(200)
-_SWEEP_HORIZON = seconds(20)
-
-
-def _scalar_open_loop_rate(repeats=3):
-    """Scalar kernel running the *same* open-loop workload.
-
-    One generator process per user: ramp sleep, then an endless
-    think-draw / interaction-draw loop — the workload the vector
-    sweep replaces, event for event.  Events are counted with the
-    vector sweep's formula (boot + pop and re-arm per firing) so the
-    two rates divide cleanly.
-    """
-    import random
-
-    def sweep():
-        engine = Engine()
-        rng = random.Random(3)
-        mix = random.Random(4)
-        count = [0]
-
-        def user():
-            yield engine.timeout(int(rng.random() * _SWEEP_RAMP))
-            while True:
-                count[0] += 1
-                mix.random()  # interaction choice
-                yield engine.timeout(
-                    int(rng.expovariate(1.0 / _SWEEP_THINK)) + 1
-                )
-
-        for _ in range(_SWEEP_USERS):
-            engine.process(user())
-        start = time.perf_counter()
-        engine.run(until=_SWEEP_HORIZON)
-        elapsed = time.perf_counter() - start
-        return (_SWEEP_USERS + 2 * count[0]) / elapsed
-
-    return max(sweep() for _ in range(repeats))
-
-
-def test_vector_sweep_floor():
-    """Vector kernel >= 10x scalar events/sec on timer traffic.
-
-    Apples-to-apples: both kernels run the same 5000-user open-loop
-    workload (ramp, exponential think, interaction choice) on the
-    same machine in the same process, and events are counted the same
-    way on both sides.
-    """
-    spec = WorkloadSpec(
-        users=_SWEEP_USERS,
-        think_time_us=_SWEEP_THINK,
-        ramp_up_us=_SWEEP_RAMP,
-    )
-    reports = []
-
-    def sweep():
-        reports.append(
-            TrafficGenerator(spec, seed=3).generate(
-                horizon_us=_SWEEP_HORIZON, analyze_tiers=False
-            )
-        )
-
-    scalar_rate = _scalar_open_loop_rate()
-    sweep()
-    events = reports[-1].events
-    vector_rate = _best_rate(sweep, events)
-    ratio = vector_rate / scalar_rate
-    record(
-        "vector_floor",
-        scalar_events_per_sec=round(scalar_rate),
-        vector_events_per_sec=round(vector_rate),
-        speedup=round(ratio, 2),
-        events=events,
-        users=_SWEEP_USERS,
-    )
-    print(
-        f"\nkernel events/sec: scalar={scalar_rate:,.0f} "
-        f"vector={vector_rate:,.0f} ({ratio:.1f}x)"
-    )
-    assert ratio >= VECTOR_FLOOR, (
-        f"vector kernel below {VECTOR_FLOOR:.0f}x floor: {ratio:.2f}x "
-        f"({vector_rate:,.0f} vs {scalar_rate:,.0f} events/sec)"
-    )
-
-
-def test_scale_sweep_smoke():
-    """Env-scaled open-loop sweep with full tier analysis.
-
-    At the default 150 users this is a quick sanity pass; the CI
-    kernel-bench job runs it at 10k users and the nightly smoke at
-    100k, where the per-tier load tables and saturation flags are the
-    point of the exercise.
-    """
-    spec = WorkloadSpec(
-        users=SCALE_USERS, think_time_us=ms(700), ramp_up_us=ms(200)
-    )
-    generator = TrafficGenerator(spec, seed=3)
-    start = time.perf_counter()
-    report = generator.generate(horizon_us=seconds(10))
-    elapsed = time.perf_counter() - start
-    assert report.arrivals > 0
-    assert report.users == SCALE_USERS
-    assert set(report.tiers) == {"apache", "tomcat", "cjdbc", "mysql"}
-    for load in report.tiers.values():
-        assert len(load.entry) == report.arrivals
-    rate = report.events / elapsed
-    record(
-        "scale_sweep",
-        users=SCALE_USERS,
-        arrivals=report.arrivals,
-        events=report.events,
-        events_per_sec=round(rate),
-        arrival_rate_per_sec=round(report.arrival_rate_per_sec(), 1),
-        saturated=[t for t, load in report.tiers.items() if load.saturated],
-        seconds=round(elapsed, 3),
-    )
-    print(
-        f"\nscale sweep: {SCALE_USERS} users, {report.arrivals} arrivals, "
-        f"{rate:,.0f} events/sec"
-    )

@@ -39,16 +39,13 @@ from repro.analysis.diagnosis import Diagnoser
 from repro.common.timebase import seconds
 from repro.common.windows import WindowParseError, parse_window
 from repro.experiments.scenarios import baseline_run, scenario_a, scenario_b
-from repro.ntier.system import KERNELS
 from repro.telemetry.spans import TelemetryCollector
 from repro.transformer.errorpolicy import ERROR_MODES, QUARANTINE, ErrorPolicy
 from repro.transformer.pipeline import MScopeDataTransformer
-from repro.warehouse.db import MScopeDB
+from repro.warehouse.db import RUN_META_FILE, MScopeDB, copy_run_meta
 from repro.warehouse.sharded import ShardedMScopeDB, open_warehouse
 
 __all__ = ["main", "build_parser"]
-
-_META_FILE = "run_meta.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,13 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON scenario file (overrides --scenario)",
     )
     run.add_argument("--seed", type=int, default=3)
-    run.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default="scalar",
-        help="simulator kernel: scalar per-event engine, or the "
-        "vectorized event calendar (identical logs, higher throughput)",
-    )
     run.add_argument(
         "--duration", type=float, default=None, help="simulated seconds"
     )
@@ -352,13 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="warehouse-construction mode; 'all' sweeps every mode",
     )
     validate.add_argument(
-        "--kernel",
-        choices=("scalar", "vector", "all"),
-        default="scalar",
-        help="simulator kernel; 'all' scores every scenario on both "
-        "(the nightly matrix does)",
-    )
-    validate.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
@@ -469,16 +452,10 @@ def _cmd_run(args) -> int:
         run = _run_from_config(args.config, log_dir)
     elif args.scenario == "a":
         duration = seconds(args.duration) if args.duration else seconds(5)
-        run = scenario_a(
-            seed=args.seed, duration=duration, log_dir=log_dir,
-            kernel=args.kernel,
-        )
+        run = scenario_a(seed=args.seed, duration=duration, log_dir=log_dir)
     elif args.scenario == "b":
         duration = seconds(args.duration) if args.duration else seconds(5)
-        run = scenario_b(
-            seed=args.seed, duration=duration, log_dir=log_dir,
-            kernel=args.kernel,
-        )
+        run = scenario_b(seed=args.seed, duration=duration, log_dir=log_dir)
     else:
         duration = seconds(args.duration) if args.duration else seconds(6)
         run = baseline_run(
@@ -487,19 +464,17 @@ def _cmd_run(args) -> int:
             duration=duration,
             log_dir=log_dir,
             resource_monitors=True,
-            kernel=args.kernel,
         )
     meta = {
         "scenario": "config" if args.config is not None else args.scenario,
         "seed": run.system.config.seed,
-        "kernel": run.system.config.kernel,
         "duration_us": run.duration,
         "epoch_us": run.epoch_us,
         "workload_users": run.system.config.workload.users,
         "completed_requests": len(run.result.traces),
     }
     out.mkdir(parents=True, exist_ok=True)
-    (out / _META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
+    (out / RUN_META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
     print(
         f"scenario {meta['scenario']}: {meta['completed_requests']} requests, "
         f"{run.result.throughput():.0f} req/s, "
@@ -576,12 +551,7 @@ def _cmd_transform(args) -> int:
         telemetry=telemetry, sampling=args.sampling,
     )
     outcomes = transformer.transform_directory(args.logs)
-    meta_path = args.logs.parent / _META_FILE
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
-        for key in ("seed", "duration_us", "epoch_us", "workload_users"):
-            if key in meta:
-                db.set_experiment_meta(key, str(meta[key]))
+    copy_run_meta(db, args.logs)
     rows = sum(o.rows_loaded for o in outcomes)
     for outcome in outcomes:
         where = f"{outcome.source.parent.name}/{outcome.source.name}"
@@ -820,8 +790,6 @@ def _cmd_validate(args) -> int:
     else:
         names = [args.scenario]
     modes = list(MODES) if args.mode == "all" else [args.mode]
-    kernel = getattr(args, "kernel", "scalar")
-    kernels = ["scalar", "vector"] if kernel == "all" else [kernel]
 
     workdir = args.workdir
     cleanup = workdir is None
@@ -836,18 +804,13 @@ def _cmd_validate(args) -> int:
             spec = SCENARIOS[name]
             baseline = None
             for mode in modes:
-                for run_kernel in kernels:
-                    outcome = runner.run(
-                        name, seed=args.seed, mode=mode, kernel=run_kernel
-                    )
-                    if mode == "batch" and run_kernel == "scalar":
-                        baseline = outcome
-                    outcomes.append(outcome)
-                    if args.check_floors:
-                        for violation in outcome.passes_floors(spec.floors):
-                            failures.append(
-                                f"{name} ({mode}, {run_kernel}): {violation}"
-                            )
+                outcome = runner.run(name, seed=args.seed, mode=mode)
+                if mode == "batch":
+                    baseline = outcome
+                outcomes.append(outcome)
+                if args.check_floors:
+                    for violation in outcome.passes_floors(spec.floors):
+                        failures.append(f"{name} ({mode}): {violation}")
             if args.conformance:
                 for pair in CONFORMANCE_PAIRS:
                     result = run_conformance_pair(

@@ -15,12 +15,7 @@ __all__ = ["RngStreams", "derive_stream_seed"]
 
 
 def derive_stream_seed(seed: int, name: str) -> int:
-    """The substream seed for ``name`` under master ``seed``.
-
-    One derivation shared by the scalar :class:`random.Random` streams
-    and the vector kernel's numpy block generators, so both kernels
-    agree on what "the ``client.think`` stream of seed 7" means.
-    """
+    """The substream seed for ``name`` under master ``seed``."""
     return (int(seed) << 32) ^ zlib.crc32(name.encode("utf-8"))
 
 
@@ -58,25 +53,6 @@ class RngStreams:
         stream = random.Random(derive_stream_seed(self._seed, name))
         self._streams[name] = stream
         return stream
-
-    def block_generator(self, name: str):
-        """A numpy ``Generator`` on the same named substream namespace.
-
-        Block generators power the vector kernel's batched draws
-        (thousands of service times or think times per call).  They are
-        seeded from the *same* ``(seed, name)`` derivation as
-        :meth:`stream`, so a vector run is a deterministic function of
-        the experiment seed — but they advance a PCG64 state, not the
-        Mersenne Twister behind :class:`random.Random`: a block draw is
-        reproducible run-to-run, not element-identical to the scalar
-        stream of the same name.  Paths that promise scalar dump
-        identity must keep drawing from :meth:`stream`.
-        """
-        import numpy as np
-
-        return np.random.Generator(
-            np.random.PCG64(derive_stream_seed(self._seed, name) & (2**63 - 1))
-        )
 
     def spawn(self, name: str) -> "RngStreams":
         """Return a child family rooted at a derived seed.

@@ -110,7 +110,6 @@ def _build(
     with_event_monitors: bool,
     with_resource_monitors: bool,
     with_sysviz: bool,
-    kernel: str = "scalar",
     mix_name: str = READ_WRITE_MIX,
     dispatch: str = "round-robin",
 ) -> tuple[NTierSystem, EventMonitorSuite | None, ResourceMonitorSuite | None, SysVizTracer | None]:
@@ -119,7 +118,7 @@ def _build(
         mix_name=mix_name,
     )
     config = SystemConfig(
-        workload=workload, seed=seed, log_dir=log_dir, kernel=kernel,
+        workload=workload, seed=seed, log_dir=log_dir,
         dispatch=dispatch,
     )
     if tiers is not None:
@@ -150,7 +149,6 @@ def scenario_a(
     log_dir: Path | None = None,
     monitor_interval: Micros = ms(50),
     with_sysviz: bool = False,
-    kernel: str = "scalar",
 ) -> ScenarioRun:
     """Database-I/O very short bottleneck (Figures 2, 4, 6, 7)."""
     fault = DBLogFlushFault(
@@ -170,7 +168,6 @@ def scenario_a(
         with_event_monitors=True,
         with_resource_monitors=True,
         with_sysviz=with_sysviz,
-        kernel=kernel,
     )
     result = system.run(duration)
     return ScenarioRun(
@@ -193,7 +190,6 @@ def scenario_b(
     log_dir: Path | None = None,
     monitor_interval: Micros = ms(50),
     with_sysviz: bool = False,
-    kernel: str = "scalar",
 ) -> ScenarioRun:
     """Dirty-page recycling bottleneck, two staggered peaks (Figure 8).
 
@@ -227,7 +223,6 @@ def scenario_b(
         with_event_monitors=True,
         with_resource_monitors=True,
         with_sysviz=with_sysviz,
-        kernel=kernel,
     )
     result = system.run(duration)
     return ScenarioRun(
@@ -251,7 +246,6 @@ def _single_fault_scenario(
     log_dir: Path | None,
     monitor_interval: Micros,
     with_sysviz: bool,
-    kernel: str = "scalar",
     tiers: dict[str, TierConfig] | None = None,
     mix_name: str = READ_WRITE_MIX,
     dispatch: str = "round-robin",
@@ -268,7 +262,6 @@ def _single_fault_scenario(
         with_event_monitors=True,
         with_resource_monitors=True,
         with_sysviz=with_sysviz,
-        kernel=kernel,
         mix_name=mix_name,
         dispatch=dispatch,
     )
@@ -295,7 +288,6 @@ def scenario_gc(
     log_dir: Path | None = None,
     monitor_interval: Micros = ms(50),
     with_sysviz: bool = False,
-    kernel: str = "scalar",
 ) -> ScenarioRun:
     """Stop-the-world JVM collection on the Tomcat tier (Section II)."""
     fault = GarbageCollectionFault(
@@ -307,7 +299,7 @@ def scenario_gc(
     )
     return _single_fault_scenario(
         fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel,
+        monitor_interval, with_sysviz,
     )
 
 
@@ -322,7 +314,6 @@ def scenario_dvfs(
     log_dir: Path | None = None,
     monitor_interval: Micros = ms(50),
     with_sysviz: bool = False,
-    kernel: str = "scalar",
 ) -> ScenarioRun:
     """CPU frequency-scaling slowdown on the Tomcat tier (Section II)."""
     fault = DvfsSlowdownFault(
@@ -335,7 +326,7 @@ def scenario_dvfs(
     )
     return _single_fault_scenario(
         fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel,
+        monitor_interval, with_sysviz,
     )
 
 
@@ -349,7 +340,6 @@ def scenario_vm(
     log_dir: Path | None = None,
     monitor_interval: Micros = ms(50),
     with_sysviz: bool = False,
-    kernel: str = "scalar",
 ) -> ScenarioRun:
     """Co-located-VM CPU steal on the Tomcat tier (Section II)."""
     fault = VmConsolidationFault(
@@ -361,7 +351,7 @@ def scenario_vm(
     )
     return _single_fault_scenario(
         fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel,
+        monitor_interval, with_sysviz,
     )
 
 
@@ -375,7 +365,6 @@ def scenario_retry_storm(
     log_dir: Path | None = None,
     monitor_interval: Micros = ms(50),
     with_sysviz: bool = False,
-    kernel: str = "scalar",
 ) -> ScenarioRun:
     """Timeout-retry amplification saturates the app tier's CPU."""
     fault = RetryStormFault(
@@ -387,7 +376,7 @@ def scenario_retry_storm(
     )
     return _single_fault_scenario(
         fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel,
+        monitor_interval, with_sysviz,
     )
 
 
@@ -401,7 +390,6 @@ def scenario_pool_exhaustion(
     log_dir: Path | None = None,
     monitor_interval: Micros = ms(50),
     with_sysviz: bool = False,
-    kernel: str = "scalar",
 ) -> ScenarioRun:
     """Connection-pool exhaustion on ONE of two MySQL replicas.
 
@@ -421,7 +409,7 @@ def scenario_pool_exhaustion(
     )
     return _single_fault_scenario(
         fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel, tiers=tiers,
+        monitor_interval, with_sysviz, tiers=tiers,
     )
 
 
@@ -435,7 +423,6 @@ def scenario_lock_convoy(
     log_dir: Path | None = None,
     monitor_interval: Micros = ms(50),
     with_sysviz: bool = False,
-    kernel: str = "scalar",
 ) -> ScenarioRun:
     """A hot-lock convoy serializes the database tier."""
     fault = LockConvoyFault(
@@ -447,7 +434,7 @@ def scenario_lock_convoy(
     )
     return _single_fault_scenario(
         fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel,
+        monitor_interval, with_sysviz,
     )
 
 
@@ -461,7 +448,6 @@ def scenario_cache_stampede(
     log_dir: Path | None = None,
     monitor_interval: Micros = ms(50),
     with_sysviz: bool = False,
-    kernel: str = "scalar",
 ) -> ScenarioRun:
     """A buffer-pool flush stampedes every read to the database disk.
 
@@ -480,7 +466,7 @@ def scenario_cache_stampede(
     )
     return _single_fault_scenario(
         fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel, tiers=tiers,
+        monitor_interval, with_sysviz, tiers=tiers,
         mix_name=FANOUT_MIX,
     )
 
@@ -495,7 +481,6 @@ def scenario_net_jitter(
     log_dir: Path | None = None,
     monitor_interval: Micros = ms(50),
     with_sysviz: bool = False,
-    kernel: str = "scalar",
 ) -> ScenarioRun:
     """A noisy neighbour jitters the database node's network and CPU."""
     fault = NetworkJitterFault(
@@ -507,7 +492,7 @@ def scenario_net_jitter(
     )
     return _single_fault_scenario(
         fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel,
+        monitor_interval, with_sysviz,
     )
 
 
@@ -519,13 +504,12 @@ def scenario_memory_leak(
     log_dir: Path | None = None,
     monitor_interval: Micros = ms(50),
     with_sysviz: bool = False,
-    kernel: str = "scalar",
 ) -> ScenarioRun:
     """A slow leak on the middleware node ends in reclaim thrash."""
     fault = MemoryLeakFault(tier="cjdbc")
     return _single_fault_scenario(
         fault, seed, users, think_ms, duration, log_dir,
-        monitor_interval, with_sysviz, kernel=kernel,
+        monitor_interval, with_sysviz,
     )
 
 
@@ -539,7 +523,6 @@ def baseline_run(
     log_dir: Path | None = None,
     with_sysviz: bool = False,
     monitor_interval: Micros = ms(50),
-    kernel: str = "scalar",
 ) -> ScenarioRun:
     """A healthy full-size run for accuracy/overhead evaluation.
 
@@ -557,7 +540,6 @@ def baseline_run(
         with_event_monitors=monitors_enabled,
         with_resource_monitors=resource_monitors,
         with_sysviz=with_sysviz,
-        kernel=kernel,
     )
     result = system.run(duration)
     return ScenarioRun(

@@ -21,7 +21,6 @@ from repro.ntier.node import Node, NodeSpec
 from repro.ntier.request import Request
 from repro.ntier.server import TierServer
 from repro.ntier.system import (
-    KERNELS,
     NTierSystem,
     SystemConfig,
     SystemResult,
@@ -37,7 +36,6 @@ from repro.ntier.tiers import (
     TIER_ORDER,
     TomcatServer,
 )
-from repro.ntier.vectorclient import VectorClientEmulator
 
 __all__ = [
     "ApacheServer",
@@ -54,7 +52,6 @@ __all__ = [
     "FileLogSink",
     "GarbageCollectionFault",
     "HookDispatcher",
-    "KERNELS",
     "LogSink",
     "MemoryLogSink",
     "Message",
@@ -74,7 +71,6 @@ __all__ = [
     "TierServer",
     "TomcatServer",
     "TraceCollector",
-    "VectorClientEmulator",
     "VmConsolidationFault",
     "default_tier_configs",
     "logical_tier",

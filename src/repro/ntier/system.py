@@ -35,7 +35,7 @@ from repro.ntier.tiers import (
 from repro.rubbos.workload import WorkloadSpec
 from repro.sim.engine import Engine
 
-__all__ = ["TierConfig", "SystemConfig", "NTierSystem", "SystemResult", "KERNELS"]
+__all__ = ["TierConfig", "SystemConfig", "NTierSystem", "SystemResult"]
 
 _TIER_CLASSES = {
     "apache": ApacheServer,
@@ -93,18 +93,10 @@ def default_tier_configs() -> dict[str, TierConfig]:
     }
 
 
-#: Simulator kernels a system can run on.
-KERNELS = ("scalar", "vector")
-
-
 @dataclasses.dataclass(slots=True)
 class SystemConfig:
     """Everything needed to build a reproducible system instance.
 
-    ``kernel`` selects the simulator substrate: ``"scalar"`` runs
-    every occurrence as a Python event; ``"vector"`` runs the client's
-    timer traffic on the numpy event calendar
-    (:mod:`repro.sim.vector`) with identical monitor-log output.
     ``dispatch`` names the :data:`~repro.ntier.balancer.DISPATCH_POLICIES`
     entry every tier uses to spread requests over downstream replicas.
     """
@@ -115,7 +107,6 @@ class SystemConfig:
     network_latency_us: Micros = 150
     log_dir: Path | None = None
     experiment_tag: str = "0A"
-    kernel: str = "scalar"
     dispatch: str = "round-robin"
     tiers: dict[str, TierConfig] = dataclasses.field(
         default_factory=default_tier_configs
@@ -123,10 +114,6 @@ class SystemConfig:
 
     def validate(self) -> None:
         self.workload.validate()
-        if self.kernel not in KERNELS:
-            raise ConfigError(
-                f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
-            )
         if self.dispatch not in DISPATCH_POLICIES:
             raise ConfigError(
                 f"unknown dispatch policy {self.dispatch!r}; "
@@ -172,12 +159,7 @@ class NTierSystem:
     def __init__(self, config: SystemConfig, faults: Iterable[Fault] = ()) -> None:
         config.validate()
         self.config = config
-        if config.kernel == "vector":
-            from repro.sim.vector import VectorEngine
-
-            self.engine = VectorEngine()
-        else:
-            self.engine = Engine()
+        self.engine = Engine()
         self.wall_clock = WallClock(config.epoch)
         self.streams = RngStreams(config.seed)
         self.bus = NetworkBus(self.engine, latency_us=config.network_latency_us)
@@ -186,13 +168,7 @@ class NTierSystem:
         self._build_tiers()
         self.id_generator = RequestIdGenerator(config.experiment_tag)
         first_tier = TIER_ORDER[0]
-        if config.kernel == "vector":
-            from repro.ntier.vectorclient import VectorClientEmulator
-
-            client_class = VectorClientEmulator
-        else:
-            client_class = ClientEmulator
-        self.client = client_class(
+        self.client = ClientEmulator(
             self.engine,
             self.bus,
             config.workload,

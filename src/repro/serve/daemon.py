@@ -38,7 +38,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
-import json
 import signal
 import threading
 import time
@@ -59,7 +58,7 @@ from repro.telemetry.aggregate import RunTelemetry
 from repro.telemetry.spans import TelemetryCollector
 from repro.transformer.errorpolicy import ErrorPolicy
 from repro.transformer.live import LiveTransformer
-from repro.warehouse.db import MScopeDB
+from repro.warehouse.db import MScopeDB, copy_run_meta
 from repro.warehouse.sharded import ShardedMScopeDB, open_warehouse
 
 __all__ = [
@@ -68,10 +67,6 @@ __all__ = [
     "ServeConfig",
     "WindowVerdict",
 ]
-
-_META_FILE = "run_meta.json"
-_META_KEYS = ("seed", "duration_us", "epoch_us", "workload_users")
-
 
 @dataclasses.dataclass(slots=True)
 class ServeConfig:
@@ -216,13 +211,7 @@ class MScopeServeDaemon:
     def _resolve_meta(self) -> int:
         """Carry run metadata into the warehouse, exactly as the batch
         transform does, and resolve the epoch offset."""
-        meta_path = Path(self.config.logs).parent / _META_FILE
-        meta: dict[str, Any] = {}
-        if meta_path.exists():
-            meta = json.loads(meta_path.read_text())
-            for key in _META_KEYS:
-                if key in meta:
-                    self.db.set_experiment_meta(key, str(meta[key]))
+        meta = copy_run_meta(self.db, self.config.logs)
         if self.config.epoch_us is not None:
             return self.config.epoch_us
         if "epoch_us" in meta:

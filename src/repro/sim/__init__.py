@@ -5,13 +5,6 @@ from repro.sim.events import AllOf, AnyOf, Event, EventState, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Acquire, Resource, Store
 from repro.sim.tracking import StepSeries
-from repro.sim.vector import (
-    EventCalendar,
-    TierLoad,
-    TrafficGenerator,
-    TrafficReport,
-    VectorEngine,
-)
 
 __all__ = [
     "Acquire",
@@ -19,14 +12,9 @@ __all__ = [
     "AnyOf",
     "Engine",
     "Event",
-    "EventCalendar",
     "EventState",
     "Process",
     "Resource",
     "StepSeries",
     "Store",
-    "TierLoad",
-    "TrafficGenerator",
-    "TrafficReport",
-    "VectorEngine",
 ]

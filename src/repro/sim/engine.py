@@ -3,14 +3,6 @@
 The engine owns the simulation clock (integer microseconds) and the
 agenda — a priority queue of triggered events.  Ties at the same
 timestamp are broken by insertion order, which keeps runs deterministic.
-
-``Engine`` is the *scalar* kernel: every occurrence is a Python
-:class:`~repro.sim.events.Event` popped one at a time.  The vector
-kernel (:class:`repro.sim.vector.VectorEngine`) extends it with a
-numpy event calendar for high-volume typed events while reusing this
-agenda for everything else; both kernels share the global
-``(timestamp, sequence)`` ordering contract, which is what makes their
-runs byte-identical.
 """
 
 from __future__ import annotations
@@ -46,9 +38,6 @@ class Engine:
 
     __slots__ = ("_now", "_agenda", "_sequence", "_running")
 
-    #: Kernel name; the vector kernel overrides this.
-    kernel = "scalar"
-
     def __init__(self) -> None:
         self._now: Micros = 0
         self._agenda: list[tuple[Micros, int, Event]] = []
@@ -59,17 +48,6 @@ class Engine:
     def now(self) -> Micros:
         """Current simulation time in microseconds."""
         return self._now
-
-    def _alloc_seq(self) -> int:
-        """Claim the next agenda sequence number (kernel use only).
-
-        Tie-breaking is global across everything the engine orders —
-        scalar events *and* (in the vector kernel) calendar rows — so
-        every schedulable occurrence must draw from this one counter.
-        """
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        return sequence
 
     def _schedule(self, event: Event, delay: Micros = 0) -> None:
         """Place a triggered event on the agenda (kernel use only)."""
@@ -124,8 +102,8 @@ class Engine:
             # Inlined pop loop: peeking and popping through step() costs
             # an extra method call plus double head indexing per event,
             # which is measurable at millions of events (the
-            # scalar-kernel micro-bench in test_kernel_throughput.py
-            # guards this fast path against regressing to step() rate).
+            # run-vs-step bench in test_kernel_throughput.py guards
+            # this fast path against regressing to step() rate).
             agenda = self._agenda
             while agenda:
                 if until is not None and agenda[0][0] > until:

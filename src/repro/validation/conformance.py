@@ -47,11 +47,6 @@ class ConformancePair:
     #: analysis fan-out leave the warehouse identical by construction).
     compare: str
     claim: str
-    #: Simulator kernel the variant side runs on.  A cross-kernel pair
-    #: simulates twice (two log directories), so its content lines are
-    #: compared with each side's log-dir prefix normalized away —
-    #: everything else must match byte for byte.
-    variant_kernel: str = "scalar"
 
 
 CONFORMANCE_PAIRS: tuple[ConformancePair, ...] = (
@@ -114,16 +109,6 @@ CONFORMANCE_PAIRS: tuple[ConformancePair, ...] = (
         claim="under coherent head sampling a sharded warehouse holds "
         "exactly the sampled monolith's content, sampling ledger "
         "included",
-    ),
-    ConformancePair(
-        key="kernel-vector",
-        baseline_mode="batch",
-        variant_mode="batch",
-        variant_kernel="vector",
-        compare="content",
-        claim="a vector-kernel simulation yields a warehouse holding "
-        "exactly the scalar kernel's content (modulo the log "
-        "directory the source paths point into)",
     ),
 )
 
@@ -207,10 +192,11 @@ def _report_divergence(
 def _normalized_content_lines(outcome: ScenarioOutcome):
     """Content lines with the outcome's log-dir prefix masked.
 
-    A cross-kernel pair necessarily simulates twice, so the registry
-    tables record source paths under two different log directories.
-    Masking each side's own prefix with ``<logs>`` leaves every other
-    byte — timestamps, payloads, row order — under comparison.
+    The registry tables record source paths under the run's log
+    directory, which depends on the workdir.  Masking that prefix with
+    ``<logs>`` leaves every other byte — timestamps, payloads, row
+    order — comparable across workdirs (the pinned scenario digests
+    hash exactly these lines).
     """
     prefix = str(outcome.log_dir) if outcome.log_dir is not None else None
     for line in outcome.content_lines():
@@ -278,19 +264,11 @@ def run_conformance_pair(
             equal=divergence is None,
             divergence=divergence,
         )
-    variant = runner.run(
-        scenario, seed=seed, mode=pair.variant_mode, kernel=pair.variant_kernel
-    )
-    cross_kernel = pair.variant_kernel != baseline.kernel
+    variant = runner.run(scenario, seed=seed, mode=pair.variant_mode)
     if pair.compare in ("warehouse", "content"):
         if pair.compare == "warehouse":
             divergence = _first_dump_divergence(
                 baseline.dump_lines(), variant.dump_lines()
-            )
-        elif cross_kernel:
-            divergence = _first_dump_divergence(
-                _normalized_content_lines(baseline),
-                _normalized_content_lines(variant),
             )
         else:
             divergence = _first_dump_divergence(

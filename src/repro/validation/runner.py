@@ -32,7 +32,6 @@ from typing import Callable
 from repro.analysis.diagnosis import Diagnoser, DiagnosisReport
 from repro.common.errors import ConfigError
 from repro.common.timebase import Micros
-from repro.ntier.system import KERNELS
 from repro.experiments.scenarios import (
     ScenarioRun,
     record_run_metadata,
@@ -101,9 +100,8 @@ class ScenarioSpec:
 
     name: str
     description: str
-    #: ``(seed, log_dir, kernel) -> ScenarioRun``; must run the
-    #: simulation on the requested simulator kernel.
-    build: Callable[[int, Path, str], ScenarioRun]
+    #: ``(seed, log_dir) -> ScenarioRun``.
+    build: Callable[[int, Path], ScenarioRun]
     #: Fast enough for the gating CI job (the rest run nightly).
     fast: bool
     #: Accuracy floors the gating/nightly checks assert.
@@ -114,9 +112,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
     "db_log_flush": ScenarioSpec(
         name="db_log_flush",
         description="database log flush saturates the DB disk (paper §V-A)",
-        build=lambda seed, log_dir, kernel="scalar": scenario_a(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
+        build=lambda seed, log_dir: scenario_a(seed=seed, log_dir=log_dir),
         fast=True,
         floors={"precision": 0.9, "recall": 0.9, "attribution": 0.9},
     ),
@@ -125,45 +121,35 @@ SCENARIOS: dict[str, ScenarioSpec] = {
         description=(
             "kernel dirty-page recycling saturates web/app CPUs (paper §V-B)"
         ),
-        build=lambda seed, log_dir, kernel="scalar": scenario_b(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
+        build=lambda seed, log_dir: scenario_b(seed=seed, log_dir=log_dir),
         fast=True,
         floors={"precision": 0.9, "recall": 0.9, "attribution": 0.9},
     ),
     "jvm_gc": ScenarioSpec(
         name="jvm_gc",
         description="stop-the-world JVM collection on the app tier (§II)",
-        build=lambda seed, log_dir, kernel="scalar": scenario_gc(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
+        build=lambda seed, log_dir: scenario_gc(seed=seed, log_dir=log_dir),
         fast=False,
         floors={"precision": 0.9, "recall": 0.9, "attribution": 0.5},
     ),
     "dvfs_slowdown": ScenarioSpec(
         name="dvfs_slowdown",
         description="CPU frequency scaling slows the app tier (§II)",
-        build=lambda seed, log_dir, kernel="scalar": scenario_dvfs(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
+        build=lambda seed, log_dir: scenario_dvfs(seed=seed, log_dir=log_dir),
         fast=False,
         floors={"precision": 0.9, "recall": 0.9, "attribution": 0.5},
     ),
     "vm_consolidation": ScenarioSpec(
         name="vm_consolidation",
         description="co-located VM steals app-tier CPU (§II)",
-        build=lambda seed, log_dir, kernel="scalar": scenario_vm(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
+        build=lambda seed, log_dir: scenario_vm(seed=seed, log_dir=log_dir),
         fast=False,
         floors={"precision": 0.9, "recall": 0.9, "attribution": 0.5},
     ),
     "retry_storm": ScenarioSpec(
         name="retry_storm",
         description="timeout-retry amplification saturates the app tier",
-        build=lambda seed, log_dir, kernel="scalar": scenario_retry_storm(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
+        build=lambda seed, log_dir: scenario_retry_storm(seed=seed, log_dir=log_dir),
         fast=True,
         floors={"precision": 0.9, "recall": 0.9, "attribution": 0.9},
     ),
@@ -173,8 +159,8 @@ SCENARIOS: dict[str, ScenarioSpec] = {
             "connection-pool exhaustion on one of two MySQL replicas "
             "(replica-level blame)"
         ),
-        build=lambda seed, log_dir, kernel="scalar": scenario_pool_exhaustion(
-            seed=seed, log_dir=log_dir, kernel=kernel
+        build=lambda seed, log_dir: scenario_pool_exhaustion(
+            seed=seed, log_dir=log_dir
         ),
         fast=True,
         floors={"precision": 0.9, "recall": 0.9, "attribution": 0.9},
@@ -182,9 +168,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
     "lock_convoy": ScenarioSpec(
         name="lock_convoy",
         description="hot-lock convoy serializes the database tier",
-        build=lambda seed, log_dir, kernel="scalar": scenario_lock_convoy(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
+        build=lambda seed, log_dir: scenario_lock_convoy(seed=seed, log_dir=log_dir),
         fast=False,
         floors={"precision": 0.9, "recall": 0.9, "attribution": 0.9},
     ),
@@ -194,27 +178,21 @@ SCENARIOS: dict[str, ScenarioSpec] = {
             "buffer-pool stampede under the fan-out mix over three "
             "C-JDBC replicas"
         ),
-        build=lambda seed, log_dir, kernel="scalar": scenario_cache_stampede(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
+        build=lambda seed, log_dir: scenario_cache_stampede(seed=seed, log_dir=log_dir),
         fast=False,
         floors={"precision": 0.9, "recall": 0.9, "attribution": 0.9},
     ),
     "net_jitter": ScenarioSpec(
         name="net_jitter",
         description="noisy-neighbour network jitter plus CPU steal on the DB",
-        build=lambda seed, log_dir, kernel="scalar": scenario_net_jitter(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
+        build=lambda seed, log_dir: scenario_net_jitter(seed=seed, log_dir=log_dir),
         fast=False,
         floors={"precision": 0.9, "recall": 0.9, "attribution": 0.9},
     ),
     "memory_leak": ScenarioSpec(
         name="memory_leak",
         description="slow memory leak thrashes reclaim on the middleware",
-        build=lambda seed, log_dir, kernel="scalar": scenario_memory_leak(
-            seed=seed, log_dir=log_dir, kernel=kernel
-        ),
+        build=lambda seed, log_dir: scenario_memory_leak(seed=seed, log_dir=log_dir),
         fast=False,
         floors={"precision": 0.9, "recall": 0.9, "attribution": 0.9},
     ),
@@ -238,10 +216,8 @@ class ScenarioOutcome:
     reports: list[DiagnosisReport]
     schedule: FaultSchedule
     db_path: Path
-    #: Simulator kernel the scenario ran on.
-    kernel: str = "scalar"
     #: The simulated native-log directory this warehouse was built
-    #: from (cross-kernel conformance normalizes its prefix away).
+    #: from (the scenario digests mask its prefix away).
     log_dir: Path | None = None
 
     def dump_lines(self):
@@ -291,7 +267,6 @@ class ScenarioOutcome:
             "scenario": self.scenario,
             "seed": self.seed,
             "mode": self.mode,
-            "kernel": self.kernel,
             "score": self.score.to_dict(),
             "reports": self.report_texts,
         }
@@ -302,10 +277,9 @@ class ScenarioOutcome:
     def to_text(self) -> str:
         score = self.score
         latency = score.mean_detection_latency_us
-        kernel = "" if self.kernel == "scalar" else f", kernel {self.kernel}"
         lines = [
             f"scenario {self.scenario} "
-            f"(seed {self.seed}, mode {self.mode}{kernel})",
+            f"(seed {self.seed}, mode {self.mode})",
             f"  injected episodes : {score.labels_total}",
             f"  detected          : {score.labels_detected}",
             f"  precision         : {score.precision:.3f}",
@@ -352,20 +326,18 @@ class ScenarioRunner:
     ) -> None:
         self.workdir = Path(workdir)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        # One simulation per (scenario, seed, kernel), shared by every
+        # One simulation per (scenario, seed), shared by every
         # mode: all modes then ingest the *same* native logs, so
         # warehouse dumps (which record source paths) are directly
         # comparable and any conformance divergence is the ingest
         # path's fault.
-        self._runs: dict[
-            tuple[str, int, str], tuple[ScenarioRun, FaultSchedule]
-        ] = {}
-        # One outcome per (scenario, seed, mode, sampling, kernel):
+        self._runs: dict[tuple[str, int], tuple[ScenarioRun, FaultSchedule]] = {}
+        # One outcome per (scenario, seed, mode, sampling):
         # re-requesting a mode (e.g. the conformance pass after a
         # full-matrix sweep) must reuse the built warehouse, not
         # re-ingest into it.
         self._outcomes: dict[
-            tuple[str, int, str, str | None, str], ScenarioOutcome
+            tuple[str, int, str, str | None], ScenarioOutcome
         ] = {}
 
     def run(
@@ -375,7 +347,6 @@ class ScenarioRunner:
         mode: str = "batch",
         slack_us: Micros = DEFAULT_SLACK_US,
         sampling: str | None = None,
-        kernel: str = "scalar",
     ) -> ScenarioOutcome:
         """Simulate, ingest (per ``mode``), diagnose, and score.
 
@@ -383,10 +354,7 @@ class ScenarioRunner:
         the warehouse build (the frontier sweep varies it); the
         ``sampled``/``sampled-sharded`` modes default it to
         :data:`CONFORMANCE_SAMPLING` so the conformance runner can
-        name a fixed sampled pair.  ``kernel`` selects the simulator
-        substrate (:data:`repro.ntier.system.KERNELS`); the vector
-        kernel must produce the same logs, warehouse content, and
-        scores, and the kernel conformance pair holds it to that.
+        name a fixed sampled pair.
         """
         spec = SCENARIOS.get(scenario)
         if spec is None:
@@ -398,13 +366,9 @@ class ScenarioRunner:
             raise ConfigError(
                 f"unknown mode {mode!r}; expected one of {MODES}"
             )
-        if kernel not in KERNELS:
-            raise ConfigError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-            )
         if sampling is None and mode in ("sampled", "sampled-sharded"):
             sampling = CONFORMANCE_SAMPLING
-        done = self._outcomes.get((scenario, seed, mode, sampling, kernel))
+        done = self._outcomes.get((scenario, seed, mode, sampling))
         if done is not None:
             if done.score.slack_us == slack_us:
                 return done
@@ -417,28 +381,23 @@ class ScenarioRunner:
                 ),
             )
 
-        # The scalar kernel keeps the historical directory name, so
-        # reused workdirs and existing tooling see unchanged paths.
-        leaf_run = f"{scenario}-seed{seed}"
-        if kernel != "scalar":
-            leaf_run = f"{leaf_run}-{kernel}"
-        rundir = self.workdir / leaf_run
+        rundir = self.workdir / f"{scenario}-seed{seed}"
         # Distinct policy specs build distinct warehouses; slug the
         # spec into the directory so a frontier sweep never collides.
         leaf = mode if sampling is None else f"{mode}+{sampling.replace(':', '_')}"
         mode_dir = rundir / leaf
         mode_dir.mkdir(parents=True, exist_ok=True)
 
-        cached = self._runs.get((scenario, seed, kernel))
+        cached = self._runs.get((scenario, seed))
         if cached is None:
             # A leftover logs tree (reused --workdir) must not survive:
             # the monitors append to existing files, which would double
             # every log line on re-simulation.
             shutil.rmtree(rundir / "logs", ignore_errors=True)
-            run = spec.build(seed, rundir / "logs", kernel)
+            run = spec.build(seed, rundir / "logs")
             schedule = FaultSchedule.from_faults(run.system, run.faults)
             schedule.save(rundir / SCHEDULE_FILE)
-            self._runs[(scenario, seed, kernel)] = (run, schedule)
+            self._runs[(scenario, seed)] = (run, schedule)
         else:
             run, schedule = cached
 
@@ -473,10 +432,9 @@ class ScenarioRunner:
             reports=reports,
             schedule=schedule,
             db_path=db_path,
-            kernel=kernel,
             log_dir=run.log_dir,
         )
-        self._outcomes[(scenario, seed, mode, sampling, kernel)] = outcome
+        self._outcomes[(scenario, seed, mode, sampling)] = outcome
         return outcome
 
     def _build_warehouse(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 import re
 import sqlite3
 from pathlib import Path
@@ -29,7 +30,10 @@ from repro.common.errors import QueryError, WarehouseError
 __all__ = [
     "MScopeDB",
     "RESPONSE_TIME_SQL",
+    "RUN_META_FILE",
+    "RUN_META_KEYS",
     "STATIC_TABLES",
+    "copy_run_meta",
     "quote_identifier",
     "table_content_lines",
 ]
@@ -52,6 +56,13 @@ STATIC_TABLES = (
     "sampling_ledger",
     "conflated_requests",
 )
+
+#: ``mscope run`` writes this file beside its ``logs/`` tree; batch
+#: transform and ``mscope serve`` both copy :data:`RUN_META_KEYS` from
+#: it into ``experiment_meta`` (see :func:`copy_run_meta`), which keeps
+#: their warehouse dumps equal.
+RUN_META_FILE = "run_meta.json"
+RUN_META_KEYS = ("seed", "duration_us", "epoch_us", "workload_users")
 
 #: Rows per ``executemany`` batch during bulk inserts.
 _INSERT_BATCH_SIZE = 5000
@@ -123,6 +134,21 @@ def table_content_lines(
     yield f"TABLE {table} ({rendered})"
     for row in sorted(rows, key=_content_sort_key):
         yield repr(tuple(row))
+
+
+def copy_run_meta(db: MScopeDB, logs: Path) -> dict[str, Any]:
+    """Copy the run metadata found beside ``logs`` into ``db``.
+
+    Returns the parsed :data:`RUN_META_FILE` (empty when there is none).
+    """
+    meta_path = Path(logs).parent / RUN_META_FILE
+    if not meta_path.exists():
+        return {}
+    meta = json.loads(meta_path.read_text())
+    for key in RUN_META_KEYS:
+        if key in meta:
+            db.set_experiment_meta(key, str(meta[key]))
+    return meta
 
 
 class MScopeDB:

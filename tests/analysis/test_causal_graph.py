@@ -20,26 +20,39 @@ def nested_path():
 
 def test_graph_nodes_and_weights():
     graph = path_to_graph(nested_path())
-    assert len(graph) == 4
-    tiers = {data["tier"] for _, data in graph.nodes(data=True)}
+    assert len(graph.nodes) == 4
+    tiers = {node.tier for node in graph.nodes.values()}
     assert tiers == {"apache", "tomcat", "mysql"}
+    weights = [node.local_ms for node in graph.nodes.values()]
+    assert weights == pytest.approx([2.0, 1.6, 1.0, 2.8])
 
 
 def test_graph_structure_calls_and_then():
     graph = path_to_graph(nested_path())
     relations = {
-        (graph.nodes[u]["tier"], graph.nodes[v]["tier"], d["relation"])
-        for u, v, d in graph.edges(data=True)
+        (graph.nodes[u].tier, graph.nodes[v].tier, relation)
+        for u, v, relation in graph.edges
     }
-    assert ("apache", "tomcat", "calls") in relations
-    assert ("tomcat", "mysql", "calls") in relations
-    assert ("mysql", "mysql", "then") in relations
+    assert relations == {
+        ("apache", "tomcat", "calls"),
+        ("tomcat", "mysql", "calls"),
+        ("mysql", "mysql", "then"),
+    }
 
 
 def test_graph_is_dag():
-    import networkx as nx
+    graph = path_to_graph(nested_path())
+    position = {node: i for i, node in enumerate(graph.topological_order)}
+    assert sorted(position) == sorted(graph.nodes)
+    assert all(position[u] < position[v] for u, v, _ in graph.edges)
 
-    assert nx.is_directed_acyclic_graph(path_to_graph(nested_path()))
+
+def test_cycle_rejected():
+    # Two zero-length downstream windows over the same span contain
+    # each other, so each becomes the other's parent.
+    twin = CausalHop("tomcat", 1_000, 2_000, 1_000, 2_000)
+    with pytest.raises(AnalysisError, match="cycle"):
+        path_to_graph(CausalPath("R0A000000005", [twin, twin._replace()]))
 
 
 def test_critical_path_prefers_heavy_chain():
@@ -80,8 +93,8 @@ def test_innermost_parent_chosen():
     ]
     graph = path_to_graph(CausalPath("R0A000000004", hops))
     (mysql_parent,) = [
-        graph.nodes[u]["tier"]
-        for u, v in graph.edges
-        if graph.nodes[v]["tier"] == "mysql"
+        graph.nodes[u].tier
+        for u, v, _ in graph.edges
+        if graph.nodes[v].tier == "mysql"
     ]
     assert mysql_parent == "cjdbc"

@@ -106,33 +106,3 @@ def test_validate_workdir_keeps_artifacts(tmp_path, capsys):
     assert (rundir / "fault_schedule.json").exists()
     assert (rundir / "batch" / "mscope.db").exists()
     assert (rundir / "logs").is_dir()
-
-
-def test_validate_kernel_all_scores_both_kernels(tmp_path, capsys):
-    code = main(
-        [
-            "validate",
-            "--scenario",
-            "retry_storm",
-            "--seed",
-            "7",
-            "--kernel",
-            "all",
-            "--format",
-            "json",
-            "--check-floors",
-            "--workdir",
-            str(tmp_path / "work"),
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    payload = json.loads(out)
-    kernels = [entry["kernel"] for entry in payload["scenarios"]]
-    assert kernels == ["scalar", "vector"]
-    # Kernel conformance, through the CLI: identical scores.
-    scores = {entry["score"]["recall"] for entry in payload["scenarios"]}
-    assert scores == {1.0}
-    assert payload["failures"] == []
-    # The vector run keeps its own artifact directory.
-    assert (tmp_path / "work" / "retry_storm-seed7-vector").is_dir()
